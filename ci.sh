@@ -59,7 +59,7 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== perf smoke: replay + 16-lane batched replay guards =="
+echo "== perf smoke: replay + 16-lane and ragged batched replay guards =="
 # Bit-identity is covered by the test suite and re-checked by the bench
 # itself (exit 2 on any per-candidate stats divergence between the
 # sequential and batched replayers). The guards watch the *point* of
@@ -73,6 +73,12 @@ echo "== perf smoke: replay + 16-lane batched replay guards =="
 build/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
   --candidates 32 --batch 16 --reps 5 --guard 1.0 --guard-batch 2.0 \
   --json build/BENCH_replay.json
+# Ragged-width guard: search rounds hand the replayer chunks of 4-7
+# candidates, which run one masked 8-lane zmm pass. --batch 4 is that
+# shape; --guard-batch 1.2 fails if such a pass stops beating four
+# sequential replays (measured ~1.4-1.6x on this candidate set).
+build/bench/replay_speedup --file tests/fuzz/corpus/jacobi512.pad \
+  --candidates 32 --batch 4 --reps 5 --guard-batch 1.2
 build/bench/search_vs_pad --budget 24 --threads 2 --seed 1 jacobi \
   --json build/BENCH_search.json
 

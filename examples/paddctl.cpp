@@ -27,7 +27,7 @@
 ///   --weights W       per-level objective weights, e.g. l1=1,l2=8
 ///   --deadline-ms MS  per-request deadline
 ///   --budget N        search evaluation budget
-///   --batch K         search replay candidates per trace pass (0 = auto)
+///   --batch K         search: most candidates per trace pass (0 = auto)
 ///   --seed S          search seed
 ///   --memory-budget BYTES --max-footprint BYTES --max-accesses N
 ///                     per-request quotas

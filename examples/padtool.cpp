@@ -25,8 +25,8 @@
 ///   --scheme NAME   pad | padlite | search (default pad)
 ///   --budget N      search: max exact (simulated) evaluations
 ///   --threads N     search: worker threads (0 = hardware)
-///   --batch K       search: replay candidates per trace pass
-///                   (0 = auto; 1 = sequential replay)
+///   --batch K       search: most candidates per trace pass
+///                   (0 = auto, 16; 1 = sequential replay)
 ///   --seed S        search: RNG seed (default 0)
 ///   --deadline SECS search: wall-clock limit; degrades to best-so-far
 ///   --replay on|off search: record-once/replay-many evaluation

@@ -9,6 +9,7 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 #if PADX_REPLAY_AVX512
@@ -20,19 +21,49 @@ using namespace padx::exec;
 
 namespace {
 
+std::atomic<MultiTraceReplayer::Dispatch> DispatchOverride{
+    MultiTraceReplayer::Dispatch::Auto};
+
 /// Run-time half of the zmm-path gate (the compile-time half is the
-/// PADX_REPLAY_AVX512 macro). Checked once per process.
+/// PADX_REPLAY_AVX512 macro). The CPU is checked once per process.
 bool hostHasAvx512() {
 #if PADX_REPLAY_AVX512
   static const bool Has = __builtin_cpu_supports("avx512f") &&
                           __builtin_cpu_supports("avx512dq");
-  return Has;
+  return Has && DispatchOverride.load(std::memory_order_relaxed) !=
+                    MultiTraceReplayer::Dispatch::NoZmm;
 #else
   return false;
 #endif
 }
 
 } // namespace
+
+bool MultiTraceReplayer::mayStraddleLines(const RecordedTrace &T,
+                                          const CacheConfig &Config) {
+  // Bases are element-aligned, so an element access can only straddle
+  // a line when wider than one.
+  return std::any_of(T.Refs.begin(), T.Refs.end(),
+                     [&](const RecordedTrace::Ref &R) {
+                       return R.ElemSize > Config.LineBytes;
+                     });
+}
+
+void MultiTraceReplayer::setDispatchForTesting(Dispatch D) {
+  DispatchOverride.store(D, std::memory_order_relaxed);
+}
+
+unsigned MultiTraceReplayer::zmmLanes(const RecordedTrace &Trace,
+                                      const CacheConfig &Config) {
+  if (!hostHasAvx512() || Config.Associativity != 1 ||
+      mayStraddleLines(Trace, Config))
+    return 0;
+  // The zmm probe folds the arena-index shift into one logical shift of
+  // the byte address, which needs log2(line bytes) >= log2(row width).
+  if (Config.LineBytes >= 16)
+    return 16;
+  return Config.LineBytes >= 8 ? 8 : 0;
+}
 
 MultiTraceReplayer::MultiTraceReplayer(const RecordedTrace &Trace,
                                        const CacheConfig &Config)
@@ -57,15 +88,13 @@ MultiTraceReplayer::MultiTraceReplayer(const RecordedTrace &Trace,
 }
 
 void MultiTraceReplayer::buildRemaps(
-    std::span<const layout::DataLayout> Layouts) {
-  const unsigned K = static_cast<unsigned>(Layouts.size());
-  NumLanesBuilt = K;
+    std::span<const layout::DataLayout> Layouts, unsigned K) {
   const size_t NumArrays = T.program().arrays().size();
   BaseLanes.assign(NumArrays * K, 0);
   StrideLanes.assign(size_t(SlotDimBegin.back()) * K, 0);
   DeltaLanes.assign(T.Refs.size() * K, 0);
   AddrLanes.assign(MaxPatternRefs * K, 0);
-  for (unsigned L = 0; L != K; ++L) {
+  for (unsigned L = 0; L != Layouts.size(); ++L) {
     const layout::DataLayout &DL = Layouts[L];
     assert(&DL.program() == &T.program() &&
            "layout must belong to the recorded program");
@@ -93,13 +122,8 @@ void MultiTraceReplayer::buildRemaps(
   }
 }
 
-template <unsigned KT, typename ProbeFn>
-void MultiTraceReplayer::streamBlocks(unsigned NumLanes,
-                                      ProbeFn &&Probe) {
-  // KT > 0 pins the lane count at compile time so the L loops below
-  // fully unroll into K independent instruction streams; KT == 0 is the
-  // run-time-width fallback that serves ragged tails and odd widths.
-  const unsigned K = KT ? KT : NumLanes;
+template <typename ProbeFn>
+void MultiTraceReplayer::streamBlocks(unsigned K, ProbeFn &&Probe) {
   const int64_t *PADX_RESTRICT Starts = T.Starts.data();
   const int64_t *PADX_RESTRICT Bases = BaseLanes.data();
   const int64_t *PADX_RESTRICT Strides = StrideLanes.data();
@@ -142,37 +166,6 @@ void MultiTraceReplayer::streamBlocks(unsigned NumLanes,
   }
 }
 
-template <unsigned KT>
-void MultiTraceReplayer::replayDirect(unsigned NumLanes,
-                                      uint64_t *HitsOut,
-                                      uint64_t *WriteBacksOut) {
-  const unsigned K = KT ? KT : NumLanes;
-  // Geometry and lane tag pointers in locals: stores into the packed
-  // set arrays may alias any int64 as far as TBAA knows, and reloading
-  // them per probe would re-serialize the lanes.
-  int64_t *Lines[kMaxLanes] = {};
-  for (unsigned L = 0; L != K; ++L)
-    Lines[L] = Sims[L].directLines();
-  const int64_t SetMask = Sims[0].directSetMask();
-  const unsigned LineShift = Sims[0].lineShiftLog2();
-  const unsigned SetShift = Sims[0].setShiftLog2();
-  const uint8_t *PADX_RESTRICT Write = RefWrite.data();
-  uint64_t Hits[kMaxLanes] = {};
-  uint64_t WriteBacks[kMaxLanes] = {};
-  streamBlocks<KT>(
-      NumLanes, [&](unsigned L, int64_t Addr, uint32_t RefIndex) {
-        const int64_t LineAddr = Addr >> LineShift;
-        const int64_t Set = LineAddr & SetMask;
-        const int64_t Key = ((LineAddr >> SetShift) << 2) | 1;
-        Hits[L] += sim::CacheSim::probeDirectLane(
-            Lines[L], Set, Key, Write[RefIndex], WriteBacks[L]);
-      });
-  for (unsigned L = 0; L != K; ++L) {
-    HitsOut[L] = Hits[L];
-    WriteBacksOut[L] = WriteBacks[L];
-  }
-}
-
 #if PADX_REPLAY_AVX512
 
 // GCC 12's unmasked AVX-512 intrinsics route through
@@ -202,9 +195,14 @@ namespace {
 /// difference is unobservable — only the settled CacheStats are, and
 /// those are bit-identical (enforced by BatchReplayEquivalenceTest and
 /// replay_speedup --guard).
+///
+/// A batch narrower than the row leaves spare lanes; Active masks them
+/// out of every gather, compare, scatter and tally, so their arena
+/// columns stay zero and their (zero) remap rows never matter.
 struct ZmmEnv {
   __m512i SetMaskShiftedV; ///< directSetMask() << lineShiftLog2().
   __m512i LaneId[2];       ///< {0..7}, {8..15}.
+  __mmask8 Active[2];      ///< Live lanes of each 8-lane vector.
   __m128i IdxShiftC;       ///< lineShiftLog2() - Log2K.
   __m128i KeyShiftC;       ///< lineShiftLog2() - 2.
   __m512i NotThree;        ///< ~3, clears the flag bits of a Key.
@@ -249,6 +247,7 @@ struct ZmmPattern {
 struct Zmm32Env {
   __m512i SetMaskShiftedV;
   __m512i LaneId; ///< {0..15}.
+  __mmask16 Active;
   __m128i IdxShiftC;
   __m128i KeyShiftC;
   __m512i NotThree;
@@ -307,20 +306,21 @@ runBlockZmm32(const Zmm32Pattern &Pat, const int64_t *St,
           _mm512_srl_epi32(_mm512_and_si512(A[R], Env.SetMaskShiftedV),
                            Env.IdxShiftC),
           Env.LaneId);
-      const __m512i P = _mm512_i32gather_epi32(Idx, Arena, 4);
+      const __m512i P = _mm512_mask_i32gather_epi32(
+          _mm512_setzero_si512(), Env.Active, Idx, Arena, 4);
       const __m512i Key = _mm512_ternarylogic_epi64(
           _mm512_sra_epi32(A[R], Env.KeyShiftC), Env.NotThree, Env.Two,
           0xEA);
-      const __mmask16 Hit = _mm512_testn_epi32_mask(
-          _mm512_xor_si512(P, Key), Env.NotOne);
-      const __mmask16 Miss = Hit ^ 0xffff;
+      const __mmask16 Hit = _mm512_mask_testn_epi32_mask(
+          Env.Active, _mm512_xor_si512(P, Key), Env.NotOne);
+      const __mmask16 Miss = Hit ^ Env.Active;
       Acc.Hit =
           _mm512_mask_add_epi32(Acc.Hit, Hit, Acc.Hit, Env.One);
       if (Pat.WBit[R]) {
         const __m512i New = _mm512_or_si512(
             _mm512_mask_blend_epi32(Hit, Key, P), DirtyNew[R]);
         const __mmask16 StoreM = static_cast<__mmask16>(
-            Miss | _mm512_testn_epi32_mask(P, Env.One));
+            Miss | _mm512_mask_testn_epi32_mask(Env.Active, P, Env.One));
         Acc.DirtyMade = _mm512_mask_add_epi32(Acc.DirtyMade, StoreM,
                                               Acc.DirtyMade, Env.One);
         if (StoreM)
@@ -370,17 +370,19 @@ runBlockZmm(const ZmmPattern &Pat, const int64_t *St, uint64_t Count,
                 _mm512_and_si512(A[R][V], Env.SetMaskShiftedV),
                 Env.IdxShiftC),
             Env.LaneId[V]);
-        const __m512i P = _mm512_i64gather_epi64(Idx, Arena, 8);
+        const __m512i P = _mm512_mask_i64gather_epi64(
+            _mm512_setzero_si512(), Env.Active[V], Idx, Arena, 8);
         // Key = (LineAddr << 2) | valid: shift the byte address right
         // so the line address sits at bit 2, then one vpternlogq
         // ((a & ~3) | 2) clears the shifted-in garbage and sets valid.
         const __m512i Key = _mm512_ternarylogic_epi64(
             _mm512_sra_epi64(A[R][V], Env.KeyShiftC), Env.NotThree,
             Env.Two, 0xEA);
-        // Hit iff P and Key agree everywhere but the dirty bit.
-        const __mmask8 Hit = _mm512_testn_epi64_mask(
-            _mm512_xor_si512(P, Key), Env.NotOne);
-        const __mmask8 Miss = Hit ^ 0xff;
+        // Hit iff P and Key agree everywhere but the dirty bit; spare
+        // lanes neither hit nor miss.
+        const __mmask8 Hit = _mm512_mask_testn_epi64_mask(
+            Env.Active[V], _mm512_xor_si512(P, Key), Env.NotOne);
+        const __mmask8 Miss = Hit ^ Env.Active[V];
         Acc.Hit[V] = _mm512_mask_add_epi64(Acc.Hit[V], Hit, Acc.Hit[V],
                                            Env.One);
         // The update, split by the ref's (loop-invariant, perfectly
@@ -397,7 +399,8 @@ runBlockZmm(const ZmmPattern &Pat, const int64_t *St, uint64_t Count,
           const __m512i New = _mm512_or_si512(
               _mm512_mask_blend_epi64(Hit, Key, P), DirtyNew[R]);
           const __mmask8 StoreM = static_cast<__mmask8>(
-              Miss | _mm512_testn_epi64_mask(P, Env.One));
+              Miss | _mm512_mask_testn_epi64_mask(Env.Active[V], P,
+                                                  Env.One));
           Acc.DirtyMade[V] = _mm512_mask_add_epi64(
               Acc.DirtyMade[V], StoreM, Acc.DirtyMade[V], Env.One);
           if (StoreM)
@@ -413,7 +416,7 @@ runBlockZmm(const ZmmPattern &Pat, const int64_t *St, uint64_t Count,
 
 template <unsigned NV>
 __attribute__((target("avx512f,avx512dq"))) void
-MultiTraceReplayer::replayDirectZmm(uint64_t *HitsOut,
+MultiTraceReplayer::replayDirectZmm(unsigned NumLanes, uint64_t *HitsOut,
                                     uint64_t *WriteBacksOut) {
   constexpr unsigned K = NV * 8;
   const int64_t *PADX_RESTRICT Starts = T.Starts.data();
@@ -452,6 +455,8 @@ MultiTraceReplayer::replayDirectZmm(uint64_t *HitsOut,
     for (unsigned L = 0; L != 8; ++L)
       Id[L] = static_cast<int64_t>(V * 8 + L);
     Env.LaneId[V] = _mm512_load_si512(Id);
+    const unsigned Live = V == 0 ? std::min(NumLanes, 8u) : NumLanes - 8;
+    Env.Active[V] = static_cast<__mmask8>((1u << Live) - 1);
     Acc.Hit[V] = _mm512_setzero_si512();
     Acc.DirtyMade[V] = _mm512_setzero_si512();
   }
@@ -543,26 +548,28 @@ MultiTraceReplayer::replayDirectZmm(uint64_t *HitsOut,
                     _mm512_and_si512(Av, Env.SetMaskShiftedV),
                     Env.IdxShiftC),
                 Env.LaneId[V]);
-            const __m512i P = _mm512_i64gather_epi64(Idx, Arena, 8);
+            const __m512i P = _mm512_mask_i64gather_epi64(
+                _mm512_setzero_si512(), Env.Active[V], Idx, Arena, 8);
             const __m512i Key = _mm512_ternarylogic_epi64(
                 _mm512_sra_epi64(Av, Env.KeyShiftC), Env.NotThree,
                 Env.Two, 0xEA);
-            const __mmask8 Hit = _mm512_testn_epi64_mask(
-                _mm512_xor_si512(P, Key), Env.NotOne);
-            const __mmask8 Miss = Hit ^ 0xff;
+            const __mmask8 Hit = _mm512_mask_testn_epi64_mask(
+                Env.Active[V], _mm512_xor_si512(P, Key), Env.NotOne);
+            const __mmask8 Miss = Hit ^ Env.Active[V];
             Acc.Hit[V] = _mm512_mask_add_epi64(Acc.Hit[V], Hit,
                                                Acc.Hit[V], Env.One);
             // Hit lanes keep their word (dirty set on writes), miss
-            // lanes take the new key — probeDirectLane per lane under
-            // the zmm packing. Reads only ever store Key into miss
-            // lanes; write hits on already-dirty lines are identical
-            // rewrites and skip the scatter; the write store mask
-            // doubles as the dirty-creation tally (see ZmmAcc).
+            // lanes take the new key — CacheSim's direct-mapped probe
+            // per lane under the zmm packing. Reads only ever store Key
+            // into miss lanes; write hits on already-dirty lines are
+            // identical rewrites and skip the scatter; the write store
+            // mask doubles as the dirty-creation tally (see ZmmAcc).
             if (WBit) {
               const __m512i New = _mm512_or_si512(
                   _mm512_mask_blend_epi64(Hit, Key, P), DirtyNew);
               const __mmask8 StoreM = static_cast<__mmask8>(
-                  Miss | _mm512_testn_epi64_mask(P, Env.One));
+                  Miss | _mm512_mask_testn_epi64_mask(Env.Active[V], P,
+                                                      Env.One));
               Acc.DirtyMade[V] = _mm512_mask_add_epi64(
                   Acc.DirtyMade[V], StoreM, Acc.DirtyMade[V], Env.One);
               if (StoreM)
@@ -629,7 +636,8 @@ void MultiTraceReplayer::buildIdxBounds() {
   }
 }
 
-bool MultiTraceReplayer::canReplayZmm32(unsigned K) {
+bool MultiTraceReplayer::canReplayZmm32(unsigned NumLanes) {
+  constexpr unsigned K = 16; // Row width.
   // Register residency for every pattern (the narrow path has no
   // AddrLanes fallback), per-lane hit counters that cannot saturate,
   // and an arena index range inside int32.
@@ -647,7 +655,7 @@ bool MultiTraceReplayer::canReplayZmm32(unsigned K) {
   // padded byte stride.
   for (size_t R = 0; R != T.Refs.size(); ++R) {
     const RecordedTrace::Ref &Rf = T.Refs[R];
-    for (unsigned L = 0; L != K; ++L) {
+    for (unsigned L = 0; L != NumLanes; ++L) {
       int64_t Lo = BaseLanes[size_t(Rf.ArrayId) * K + L];
       int64_t Hi = Lo;
       for (uint32_t Dm = 0; Dm != Rf.Rank; ++Dm) {
@@ -669,7 +677,8 @@ bool MultiTraceReplayer::canReplayZmm32(unsigned K) {
 }
 
 __attribute__((target("avx512f,avx512dq"))) void
-MultiTraceReplayer::replayDirectZmm32(uint64_t *HitsOut,
+MultiTraceReplayer::replayDirectZmm32(unsigned NumLanes,
+                                      uint64_t *HitsOut,
                                       uint64_t *WriteBacksOut) {
   constexpr unsigned K = 16;
   const int64_t *PADX_RESTRICT Starts = T.Starts.data();
@@ -702,6 +711,7 @@ MultiTraceReplayer::replayDirectZmm32(uint64_t *HitsOut,
   for (unsigned L = 0; L != 16; ++L)
     Id[L] = static_cast<int32_t>(L);
   Env.LaneId = _mm512_load_si512(Id);
+  Env.Active = static_cast<__mmask16>((1u << NumLanes) - 1);
   Zmm32Acc Acc;
   Acc.Hit = _mm512_setzero_si512();
   Acc.DirtyMade = _mm512_setzero_si512();
@@ -781,27 +791,8 @@ MultiTraceReplayer::replay(std::span<const layout::DataLayout> Layouts,
   const unsigned K = static_cast<unsigned>(Layouts.size());
   assert(K >= 1 && K <= kMaxLanes && "batch width out of range");
   assert(Stats.size() == Layouts.size() && "one stats slot per lane");
-  while (Sims.size() < K)
-    Sims.emplace_back(Config);
-  for (unsigned L = 0; L != K; ++L)
-    Sims[L].reset();
-  buildRemaps(Layouts);
-
-  // Bases are element-aligned, so an element access can only straddle a
-  // line when wider than one; that degenerate geometry takes the
-  // general per-lane access() route with its own per-access tallies.
-  bool MaySpan = false;
-  for (const RecordedTrace::Ref &R : T.Refs)
-    MaySpan |= R.ElemSize > Config.LineBytes;
-  if (PADX_UNLIKELY(MaySpan)) {
-    streamBlocks<0>(K, [&](unsigned L, int64_t Addr, uint32_t RefIndex) {
-      const RecordedTrace::Ref &R = T.Refs[RefIndex];
-      Sims[L].access(Addr, R.ElemSize, R.IsWrite);
-    });
-    for (unsigned L = 0; L != K; ++L)
-      Stats[L] = Sims[L].stats();
-    return T.recordStatus();
-  }
+  if (Sims.empty())
+    Sims.emplace_back(Config); // The geometry every path reads.
 
   // Access, read and write totals are layout-independent — identical
   // for every lane — so they are settled in bulk once; only hits and
@@ -810,67 +801,78 @@ MultiTraceReplayer::replay(std::span<const layout::DataLayout> Layouts,
   for (const RecordedTrace::Block &B : T.Blocks)
     Writes += B.Count * PatternWrites[B.PatternIndex];
   const uint64_t Total = T.numAccesses();
-
   uint64_t Hits[kMaxLanes] = {};
   uint64_t WriteBacks[kMaxLanes] = {};
-  if (Sims[0].isDirectMapped()) {
+
 #if PADX_REPLAY_AVX512
-    // The zmm probe folds the arena-index shift into one logical shift
-    // of the byte address, which needs lineShiftLog2() >= Log2K (and
-    // >= 2 for the Key shift; implied). Lines narrower than the lane
-    // word row — a degenerate geometry no corpus config uses — fall
-    // through to the scalar lane loop.
-    if ((K == 8 || K == 16) && hostHasAvx512() &&
-        Sims[0].lineShiftLog2() >= (K == 16 ? 4u : 3u)) {
-      if (K == 16 && canReplayZmm32(K)) {
-        TagArena32.assign(size_t(Sims[0].directSetMask() + 1) * K, 0);
-        replayDirectZmm32(Hits, WriteBacks);
+  // One zmm pass: 1-8 lanes in the 8-lane row, 9-16 in the 16-lane one
+  // (one 32-bit zmm where its int32 gate holds, two 64-bit ones
+  // otherwise), spare lanes masked.
+  if (K <= zmmLanes(T, Config)) {
+    const int64_t NumSets = Sims[0].directSetMask() + 1;
+    if (K <= 8) {
+      buildRemaps(Layouts, 8);
+      TagArena.assign(size_t(NumSets) * 8, 0);
+      replayDirectZmm<1>(K, Hits, WriteBacks);
+    } else {
+      buildRemaps(Layouts, 16);
+      if (DispatchOverride.load(std::memory_order_relaxed) !=
+              Dispatch::Zmm64 &&
+          canReplayZmm32(K)) {
+        TagArena32.assign(size_t(NumSets) * 16, 0);
+        replayDirectZmm32(K, Hits, WriteBacks);
       } else {
-        TagArena.assign(size_t(Sims[0].directSetMask() + 1) * K, 0);
-        if (K == 8)
-          replayDirectZmm<1>(Hits, WriteBacks);
-        else
-          replayDirectZmm<2>(Hits, WriteBacks);
+        TagArena.assign(size_t(NumSets) * 16, 0);
+        replayDirectZmm<2>(K, Hits, WriteBacks);
       }
-      for (unsigned L = 0; L != K; ++L) {
-        Sims[L].addAccessCounts(Total - Writes, Writes);
-        Sims[L].addMisses(Total - Hits[L]);
-        Sims[L].addWriteBacks(WriteBacks[L]);
-        Stats[L] = Sims[L].stats();
-      }
-      return T.recordStatus();
     }
-#endif
-    switch (K) {
-    case 2:
-      replayDirect<2>(K, Hits, WriteBacks);
-      break;
-    case 4:
-      replayDirect<4>(K, Hits, WriteBacks);
-      break;
-    case 8:
-      replayDirect<8>(K, Hits, WriteBacks);
-      break;
-    case 16:
-      replayDirect<16>(K, Hits, WriteBacks);
-      break;
-    default:
-      replayDirect<0>(K, Hits, WriteBacks);
-      break;
-    }
-  } else {
-    // Associative lanes: the decode is still shared, but tag state
-    // stays inside each lane's simulator (probeLine accumulates its
-    // own write-backs into the lane's stats).
-    const uint8_t *Write = RefWrite.data();
-    streamBlocks<0>(K, [&](unsigned L, int64_t Addr, uint32_t RefIndex) {
-      Hits[L] += Sims[L].probeLine(Addr, Write[RefIndex]);
-    });
+    for (unsigned L = 0; L != K; ++L)
+      Stats[L] = {Total, Total - Hits[L], Total - Writes, Writes,
+                  WriteBacks[L]};
+    return T.recordStatus();
   }
+#endif
+
+  while (Sims.size() < K)
+    Sims.emplace_back(Config);
+  for (unsigned L = 0; L != K; ++L)
+    Sims[L].reset();
+  const bool MaySpan = mayStraddleLines(T, Config);
+  if (Sims[0].isDirectMapped() && !MaySpan) {
+    // No zmm kernel for this host or geometry: a shared-decode scalar
+    // lane loop loses to plain sequential replay, so take that.
+    if (!Sequential)
+      Sequential.emplace(T);
+    for (unsigned L = 0; L != K; ++L) {
+      Sequential->replay(Layouts[L], Sims[L]);
+      Stats[L] = Sims[L].stats();
+    }
+    return T.recordStatus();
+  }
+
+  buildRemaps(Layouts, K);
+  if (PADX_UNLIKELY(MaySpan)) {
+    // Elements wider than a line take the general per-lane access()
+    // route with its own per-access tallies.
+    streamBlocks(K, [&](unsigned L, int64_t Addr, uint32_t RefIndex) {
+      const RecordedTrace::Ref &R = T.Refs[RefIndex];
+      Sims[L].access(Addr, R.ElemSize, R.IsWrite);
+    });
+    for (unsigned L = 0; L != K; ++L)
+      Stats[L] = Sims[L].stats();
+    return T.recordStatus();
+  }
+
+  // Associative lanes: the decode is still shared, but tag state stays
+  // inside each lane's simulator (probeLine accumulates its own
+  // write-backs into the lane's stats).
+  const uint8_t *Write = RefWrite.data();
+  streamBlocks(K, [&](unsigned L, int64_t Addr, uint32_t RefIndex) {
+    Hits[L] += Sims[L].probeLine(Addr, Write[RefIndex]);
+  });
   for (unsigned L = 0; L != K; ++L) {
     Sims[L].addAccessCounts(Total - Writes, Writes);
     Sims[L].addMisses(Total - Hits[L]);
-    Sims[L].addWriteBacks(WriteBacks[L]);
     Stats[L] = Sims[L].stats();
   }
   return T.recordStatus();

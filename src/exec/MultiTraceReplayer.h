@@ -15,20 +15,22 @@
 /// layouts at once: the block decode — pattern lookup, start indices,
 /// iteration control, write flags — is shared, while each candidate
 /// keeps an independent lane of state (running addresses, per-ref byte
-/// deltas, a packed direct-mapped tag array). All per-lane state is
-/// struct-of-arrays with the lane index innermost, so the hot loop is K
-/// independent affine updates plus K tag probes with no cross-lane
-/// dependence — K disjoint store-to-load chains the CPU overlaps where
-/// the sequential replayer serialized on one.
+/// deltas, a packed direct-mapped tag column). All per-lane state is
+/// struct-of-arrays with the lane index innermost, so one zmm register
+/// holds a row of 8 lanes and the hot loop is one vector affine update
+/// plus one gather-compare-scatter probe per access for every lane at
+/// once.
 ///
 /// Statistics are bit-identical per candidate to a sequential
-/// TraceReplayer into a fresh CacheSim — the probe is the same
-/// CacheSim::probeDirectLane definition — and the equivalence is
-/// enforced corpus-wide by BatchReplayEquivalenceTest and at bench time
-/// by replay_speedup --guard. Set-associative and fully-associative
-/// geometries keep the shared decode but probe per lane through
-/// CacheSim::probeLine (the packed lane state exists only for the
-/// direct-mapped paper configuration); element sizes wider than a line
+/// TraceReplayer into a fresh CacheSim, enforced corpus-wide by
+/// BatchReplayEquivalenceTest and at bench time by replay_speedup
+/// --guard. The direct-mapped paper configuration is the only one the
+/// batch pays off on, and only through the AVX-512 kernels: any lane
+/// count up to zmmLanes() runs one masked 8- or 16-lane zmm pass. A
+/// direct-mapped batch no zmm kernel can take (a host without AVX-512)
+/// replays its lanes sequentially. Set-associative and
+/// fully-associative geometries keep the shared decode but probe per
+/// lane through CacheSim::probeLine; element sizes wider than a line
 /// take the general per-lane access() route, exactly like the
 /// sequential replayer.
 ///
@@ -43,6 +45,7 @@
 #include "machine/CacheConfig.h"
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,15 +62,14 @@ namespace exec {
 
 /// Replays a RecordedTrace once for up to kMaxLanes candidate layouts
 /// simultaneously. Not thread-safe; give each worker its own instance
-/// (the trace is shared read-only). Reusable across calls — per-lane
-/// simulators are kept and reset, so a search evaluating thousands of
-/// candidates in chunks of K pays the allocation once.
+/// (the trace is shared read-only). Reusable across calls — lane state
+/// is kept and reset, so a search evaluating thousands of candidates in
+/// chunks pays the allocation once.
 class MultiTraceReplayer {
 public:
-  /// Hard lane ceiling: lane state for one batch must stay small enough
-  /// that K tag arrays fit in cache next to each other — past 16 lanes
-  /// of a 16K geometry the lanes start evicting one another and the
-  /// batch win inverts (see bench/replay_speedup --batch-sweep).
+  /// Hard lane ceiling: the widest zmm kernel, one row of 16 lanes. Its
+  /// tag arena (16 words per set) still fits L1 next to the trace for a
+  /// 16K geometry.
   static constexpr unsigned kMaxLanes = 16;
 
   /// \p Trace must outlive the replayer; \p Config is the geometry every
@@ -83,53 +85,75 @@ public:
   RunStatus replay(std::span<const layout::DataLayout> Layouts,
                    std::span<sim::CacheStats> Stats);
 
+  /// The most lanes replay() scores in one zmm pass of \p Trace on
+  /// \p Config: 16 for a direct-mapped geometry on an AVX-512 host, 8
+  /// when its lines are 8 bytes (the arena index needs log2(lanes)
+  /// free line-offset bits), and 0 when no batch takes a zmm kernel —
+  /// no AVX-512, an associative geometry, lines under 8 bytes, or
+  /// elements wider than a line. Batches of up to this many lanes run
+  /// one pass; a direct-mapped batch past it replays sequentially.
+  static unsigned zmmLanes(const RecordedTrace &Trace,
+                           const CacheConfig &Config);
+
+  /// Test-only restriction of the engines replay() may pick, for the
+  /// whole process. Zmm64 keeps 9-16 lanes off the one-zmm 32-bit
+  /// kernel, so tests can sweep both kernels at every width; NoZmm
+  /// makes zmmLanes() 0 everywhere — the dispatch of a host without
+  /// AVX-512.
+  enum class Dispatch { Auto, Zmm64, NoZmm };
+  static void setDispatchForTesting(Dispatch D);
+
 private:
+  /// True when some element of \p T is wider than a line of \p Config,
+  /// so its accesses may touch two lines.
+  static bool mayStraddleLines(const RecordedTrace &T,
+                               const CacheConfig &Config);
+
   /// Builds the lane-major remap state for the batch: bases, strides and
-  /// per-ref deltas of lane L interleaved at stride NumLanes.
-  void buildRemaps(std::span<const layout::DataLayout> Layouts);
+  /// per-ref deltas of lane L interleaved at stride \p K (the lane
+  /// count, or a zmm kernel's row width with spare lanes left zero).
+  void buildRemaps(std::span<const layout::DataLayout> Layouts,
+                   unsigned K);
 
-  /// The shared-decode streaming loop. KT > 0 is a compile-time lane
-  /// count (the inner lane loop fully unrolls); KT == 0 reads the count
-  /// from \p NumLanes at run time — the ragged-tail and odd-width path.
-  /// Probe(Lane, Addr, RefIndex) scores one access on one lane.
-  template <unsigned KT, typename ProbeFn>
-  void streamBlocks(unsigned NumLanes, ProbeFn &&Probe);
-
-  /// Direct-mapped hot path for a compile-time (KT > 0) or run-time
-  /// (KT == 0) lane count; accumulates per-lane hits and write-backs
-  /// into the arrays.
-  template <unsigned KT>
-  void replayDirect(unsigned NumLanes, uint64_t *Hits,
-                    uint64_t *WriteBacks);
+  /// The shared-decode streaming loop over rows of \p K lanes, for the
+  /// per-lane probe paths (associative lanes, elements wider than a
+  /// line). Probe(Lane, Addr, RefIndex) scores one access on one lane.
+  template <typename ProbeFn>
+  void streamBlocks(unsigned K, ProbeFn &&Probe);
 
 #if PADX_REPLAY_AVX512
   /// Direct-mapped hot path with the whole lane row in zmm registers:
-  /// NV 8-lane vectors per row (NV = 1 → K = 8, NV = 2 → K = 16). The
-  /// K packed tag arrays live contiguously in TagArena so one gather /
-  /// masked scatter off a single base pointer probes and updates every
-  /// lane of an access at once; per-lane hit and write-back tallies stay
-  /// in vector accumulators. Semantically identical to replayDirect —
-  /// including the skipped store on read hits, which here becomes a
-  /// skipped scatter when no lane missed. Only called when
+  /// NV 8-lane vectors per row (NV = 1 → 8 lanes, NV = 2 → 16), of
+  /// which the first \p NumLanes are live and the rest masked out of
+  /// every gather, scatter and tally. The packed tag columns live
+  /// contiguously in TagArena so one gather / masked scatter off a
+  /// single base pointer probes and updates every lane of an access at
+  /// once; per-lane hit and write-back tallies stay in vector
+  /// accumulators. Semantically identical to a sequential probe per
+  /// lane — including the skipped store on read hits, which here
+  /// becomes a skipped scatter when no lane missed. Only called when
   /// __builtin_cpu_supports("avx512f") at run time.
   template <unsigned NV>
   __attribute__((target("avx512f,avx512dq"))) void
-  replayDirectZmm(uint64_t *Hits, uint64_t *WriteBacks);
+  replayDirectZmm(unsigned NumLanes, uint64_t *Hits,
+                  uint64_t *WriteBacks);
 
-  /// K = 16 variant with the whole batch in ONE zmm of 32-bit lanes:
+  /// 16-lane variant with the whole row in ONE zmm of 32-bit lanes:
   /// one 16-way gather per access instead of two 8-way ones, and every
   /// vector ALU op covers all lanes at once. Exact whenever every
   /// probed byte address fits int32 — mod-2^32 lane arithmetic then
   /// reproduces the 64-bit addresses bit-for-bit — which canReplayZmm32
   /// establishes up front from the trace's logical index bounds and the
   /// batch's bases and strides. Falls back to replayDirectZmm otherwise.
-  void replayDirectZmm32(uint64_t *Hits, uint64_t *WriteBacks)
+  void replayDirectZmm32(unsigned NumLanes, uint64_t *Hits,
+                         uint64_t *WriteBacks)
       __attribute__((target("avx512f,avx512dq")));
 
   /// Gate for replayDirectZmm32: every pattern register-resident, the
   /// geometry's arena indexable in int32, access counts within int32,
-  /// and — per lane — the address interval of every ref inside int32.
-  bool canReplayZmm32(unsigned K);
+  /// and — per live lane — the address interval of every ref inside
+  /// int32.
+  bool canReplayZmm32(unsigned NumLanes);
 
   /// Lazily computes, per (ref, dimension), the min/max logical index
   /// the trace ever instantiates (shared CSR indexing with
@@ -142,14 +166,18 @@ private:
   CacheConfig Config;
 
   /// One simulator per lane, constructed on first use and reset per
-  /// batch; lane L's packed tag array is Sims[L].directLines().
+  /// batch: the per-lane probe paths simulate in them, the zmm path
+  /// reads only the geometry of Sims[0].
   std::vector<sim::CacheSim> Sims;
+  /// Direct-mapped batches no zmm kernel takes replay lane by lane
+  /// through this (constructed on first use).
+  std::optional<TraceReplayer> Sequential;
 
-  /// Lane-major remaps (lane innermost, batch width NumLanes):
-  ///   BaseLanes[Slot * NumLanes + L]
-  ///   StrideLanes[(SlotDimBegin[Slot] + Dim) * NumLanes + L]
-  ///   DeltaLanes[Ref * NumLanes + L]
-  ///   AddrLanes[RefInPattern * NumLanes + L]
+  /// Lane-major remaps (lane innermost, row width W):
+  ///   BaseLanes[Slot * W + L]
+  ///   StrideLanes[(SlotDimBegin[Slot] + Dim) * W + L]
+  ///   DeltaLanes[Ref * W + L]
+  ///   AddrLanes[RefInPattern * W + L]
   std::vector<int64_t> BaseLanes;
   std::vector<int64_t> StrideLanes;
   std::vector<int64_t> DeltaLanes;
@@ -159,14 +187,14 @@ private:
   std::vector<uint32_t> SlotDimBegin;
 
   /// Contiguous packed line state for the zmm path, set-major and
-  /// lane-minor — word (Set, L) at TagArena[Set * K + L] — zeroed
+  /// lane-minor — word (Set, L) at TagArena[Set * W + L] — zeroed
   /// (all-invalid) per batch; correlated candidate addresses then keep
-  /// each gather's K words on one or two cache lines. Words use the
+  /// each gather's W words on one or two cache lines. Words use the
   /// zmm path's own packing, (LineAddr << 2) | valid << 1 | dirty,
   /// chosen to minimize vector ops per probe (rationale at ZmmEnv in
-  /// the .cpp). The scalar paths use the lanes'
-  /// CacheSim::directLines() instead; word contents are not part of
-  /// the replay contract — only the settled CacheStats.
+  /// the .cpp). Masked spare lanes never store, so their columns stay
+  /// zero. Word contents are not part of the replay contract — only
+  /// the settled CacheStats.
   std::vector<int64_t> TagArena;
   /// 32-bit arena of the one-zmm path (same set-major lane-minor
   /// shape); half the footprint keeps all 16 lanes of a 16K-set
@@ -187,7 +215,6 @@ private:
   /// Per pattern, writes per iteration, for bulk stats settling.
   std::vector<uint32_t> PatternWrites;
   size_t MaxPatternRefs = 0;
-  unsigned NumLanesBuilt = 0;
 };
 
 } // namespace exec

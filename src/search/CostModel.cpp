@@ -31,34 +31,36 @@ void CostModel::evaluateBatch(std::span<const layout::DataLayout> DLs,
 
 namespace {
 
-/// Default lane count for batched replay (SimulationCostModel with
-/// replay prepared and no explicit width request). Chosen from
-/// bench/replay_speedup --batch-sweep on the search corpus: 16 lanes
-/// fill the AVX-512 one-zmm probe (one 16-way gather per access) and
-/// measure 3-4x sequential on every corpus program, ahead of 8 lanes
-/// (~2x) at every trace size tested — even 128-access toys still come
-/// out ahead of sequential replay.
+/// Default lane cap for batched replay (SimulationCostModel with replay
+/// prepared and no explicit width request): the widest zmm kernel, so
+/// a chunk of any size from kBatchBreakEven up runs one pass. Search
+/// rounds seldom fill it — a round holds at most NeighborsPerRound (8)
+/// candidates — and chunks below kBatchBreakEven replay sequentially.
 constexpr unsigned kDefaultBatchLanes = 16;
 
 /// Per-thread replay state. The recorded trace is shared read-only; the
 /// replayer (whose stride-delta caches are mutable), its batched
 /// K-lane sibling, and the cache simulator are per worker. Keyed by the
-/// trace's process-unique id so pool threads that outlive one search
-/// re-initialize cleanly for the next; the shared_ptr keeps the keyed
-/// trace alive for as long as the worker holds it.
+/// trace's process-unique id (0 = none) so threads that outlive one
+/// search re-initialize cleanly for the next. The state does not own
+/// the trace: a one-thread search evaluates inline on the caller's
+/// thread, whose state outlives the model, and owning the trace would
+/// keep megabytes alive until that thread's next search. A replayer
+/// whose trace has died is never used again — the next evaluation's id
+/// differs and replaces it.
 struct ReplayWorkerState {
-  std::shared_ptr<const exec::RecordedTrace> Trace;
+  uint64_t TraceId = 0;
   std::optional<exec::TraceReplayer> Replayer;
   std::optional<sim::CacheSim> Sim;
   CacheConfig SimConfig;
   /// Keyed separately from the sequential pair above: the two paths
   /// can interleave on one worker without invalidating each other.
-  std::shared_ptr<const exec::RecordedTrace> BatchTrace;
+  uint64_t BatchTraceId = 0;
   std::optional<exec::MultiTraceReplayer> Batcher;
   CacheConfig BatchConfig;
   /// Multi-level path: its own trace/replayer pair plus a hierarchy,
   /// keyed by machine, reset between evaluations.
-  std::shared_ptr<const exec::RecordedTrace> HierTrace;
+  uint64_t HierTraceId = 0;
   std::optional<exec::TraceReplayer> HierReplayer;
   std::optional<sim::CacheHierarchy> Hier;
   MachineModel HierMachine;
@@ -73,12 +75,16 @@ void SimulationCostModel::prepareReplay(const ir::Program &P) {
 }
 
 unsigned SimulationCostModel::batchWidth() const {
-  // The K-lane batcher probes one cache level; hierarchy evaluations
-  // run sequentially per candidate.
+  // The batcher probes one cache level, and beats sequential replay
+  // only through its zmm kernels; hierarchy evaluations, associative
+  // geometries and hosts without AVX-512 replay per candidate.
   if (!usingReplay() || !Machine.isSingleLevel())
     return 1;
-  unsigned K = RequestedBatch ? RequestedBatch : kDefaultBatchLanes;
-  return std::min(K, exec::MultiTraceReplayer::kMaxLanes);
+  const unsigned Lanes = exec::MultiTraceReplayer::zmmLanes(*Trace, Cache);
+  if (Lanes == 0)
+    return 1;
+  return std::min(RequestedBatch ? RequestedBatch : kDefaultBatchLanes,
+                  Lanes);
 }
 
 void SimulationCostModel::evaluateBatch(
@@ -86,26 +92,31 @@ void SimulationCostModel::evaluateBatch(
     std::span<CostSample> Out) const {
   assert(DLs.size() == Out.size() && "one sample slot per layout");
   const unsigned W = batchWidth();
-  if (W <= 1 || DLs.size() <= 1 ||
-      (!DLs.empty() && &DLs[0].program() != &Trace->program())) {
+  if (W < kBatchBreakEven || DLs.size() < kBatchBreakEven ||
+      &DLs[0].program() != &Trace->program()) {
     CostModel::evaluateBatch(DLs, Out);
     return;
   }
-  if (!Worker.BatchTrace || Worker.BatchTrace->id() != Trace->id() ||
-      Worker.BatchConfig != Cache) {
-    Worker.BatchTrace = Trace;
+  if (Worker.BatchTraceId != Trace->id() || Worker.BatchConfig != Cache) {
+    Worker.BatchTraceId = Trace->id();
     Worker.Batcher.emplace(*Trace, Cache);
     Worker.BatchConfig = Cache;
   }
+  // The same objective as evaluate(): Weight_l1 * Misses.
+  const double Weight = Machine.Levels.front().Weight;
   sim::CacheStats Stats[exec::MultiTraceReplayer::kMaxLanes];
   for (size_t Begin = 0; Begin != DLs.size();) {
     const size_t N = std::min<size_t>(W, DLs.size() - Begin);
+    if (N < kBatchBreakEven) {
+      CostModel::evaluateBatch(DLs.subspan(Begin, N), Out.subspan(Begin, N));
+      break; // Only the ragged tail is ever this short.
+    }
     Worker.Batcher->replay(DLs.subspan(Begin, N),
                            std::span<sim::CacheStats>(Stats, N));
-    for (size_t I = 0; I != N; ++I)
-      Out[Begin + I] = {static_cast<double>(Stats[I].Misses),
-                        Stats[I].Accesses,
-                        {static_cast<double>(Stats[I].Misses)}};
+    for (size_t I = 0; I != N; ++I) {
+      const double Misses = static_cast<double>(Stats[I].Misses);
+      Out[Begin + I] = {Weight * Misses, Stats[I].Accesses, {Misses}};
+    }
     Begin += N;
   }
 }
@@ -124,8 +135,8 @@ CostSample SimulationCostModel::evaluateMachine(
     return S;
   };
   if (Trace && &DL.program() == &Trace->program()) {
-    if (!Worker.HierTrace || Worker.HierTrace->id() != Trace->id()) {
-      Worker.HierTrace = Trace;
+    if (Worker.HierTraceId != Trace->id()) {
+      Worker.HierTraceId = Trace->id();
       Worker.HierReplayer.emplace(*Trace);
     }
     if (!Worker.Hier || Worker.HierMachine != Machine) {
@@ -152,8 +163,8 @@ CostSample SimulationCostModel::evaluate(
   // this path's cost exactly the miss count.
   const double W = Machine.Levels.front().Weight;
   if (Trace && &DL.program() == &Trace->program()) {
-    if (!Worker.Trace || Worker.Trace->id() != Trace->id()) {
-      Worker.Trace = Trace;
+    if (Worker.TraceId != Trace->id()) {
+      Worker.TraceId = Trace->id();
       Worker.Replayer.emplace(*Trace);
     }
     if (!Worker.Sim || Worker.SimConfig != Cache) {

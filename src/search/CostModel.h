@@ -110,11 +110,31 @@ public:
   void prepareReplay(ir::Program &&) = delete;
   bool usingReplay() const { return Trace != nullptr; }
 
-  /// Requests \p K lanes of batched replay per trace pass (0 = the
+  /// Fewest candidates a batched replay pass must score to beat
+  /// replaying them one by one; evaluateBatch replays shorter chunks
+  /// sequentially. Measured as the cost of one K-lane zmm pass in
+  /// sequential replays (base16k, 16 neighbors of the PAD layout, one
+  /// pinned vCPU, best of 9, range over two runs):
+  ///
+  ///   K           1        2        3        4        8       16
+  ///   jacobi512  1.9      2.2    2.4-2.5  2.8-2.9    4.2   3.6-4.8
+  ///   shal512  2.0-2.2  2.3-2.7  2.2-3.2  2.6-2.7  4.2-4.4 4.5-4.9
+  ///   dgefa256 1.2-2.0    2.4    2.8-2.9  2.8-3.0  3.0-3.1 2.7-4.0
+  ///   expl128  1.3-2.1  2.2-2.4  2.6-2.7  2.5-2.8  3.8-5.1 6.9-7.2
+  ///
+  /// A lane that misses on most accesses makes nearly every probe
+  /// scatter, so conflict-heavy candidates cost more: the seed batch
+  /// (original, PAD and PADLITE layouts) costs 4.7-6.2 sequential
+  /// replays at K = 3 on jacobi512, shal512 and expl128, and 2.8 at
+  /// K = 2 on dgefa256. Three lanes therefore win only on good
+  /// candidates and by at most a fifth; four win on every kernel.
+  static constexpr unsigned kBatchBreakEven = 4;
+
+  /// Requests up to \p K lanes of batched replay per trace pass (0 = the
   /// tuned default, 1 = sequential). The effective width — clamped to
-  /// MultiTraceReplayer::kMaxLanes, and 1 whenever replay is not
-  /// prepared — is what batchWidth() reports. Stats stay bit-identical
-  /// at every width.
+  /// MultiTraceReplayer::zmmLanes, and 1 whenever replay is not
+  /// prepared or no zmm kernel can take the geometry — is what
+  /// batchWidth() reports. Stats stay bit-identical at every width.
   void setBatchWidth(unsigned K) { RequestedBatch = K; }
   unsigned batchWidth() const override;
 

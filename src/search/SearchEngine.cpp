@@ -86,19 +86,25 @@ SearchResult runSearchImpl(const ir::Program &P, const SearchOptions &Opts,
   R.BatchWidth = Width;
 
   // Exact-scores a batch on the pool; results land by submission index,
-  // so reductions below are thread-count independent. The queue is
-  // handed to the model in chunks of its preferred batch width — one
-  // pool task per chunk, one trace pass per chunk when the model
-  // replays batched — and the chunk boundaries depend only on the
-  // submission order, never on thread scheduling, so the determinism
-  // contract is untouched.
+  // so reductions below are thread-count independent. The batch is
+  // split over the pool's threads: each thread's share goes to the
+  // model as chunks of up to the batch width — one pool task and one
+  // trace pass per chunk — when it fills a batched pass, and as single
+  // candidates, replayed sequentially, when it is below the model's
+  // break-even. Every candidate's score is independent of its chunk,
+  // so the determinism contract is untouched.
+  const size_t Threads = Pool.numThreads();
   auto evaluateBatch = [&](const std::vector<Candidate> &Batch) {
     const auto Begin = std::chrono::steady_clock::now();
     std::vector<CostSample> Samples(Batch.size());
-    const size_t NumChunks = (Batch.size() + Width - 1) / Width;
-    Pool.parallelFor(NumChunks, [&](size_t Chunk) {
-      const size_t First = Chunk * Width;
-      const size_t N = std::min<size_t>(Width, Batch.size() - First);
+    const size_t Share = (Batch.size() + Threads - 1) / Threads;
+    const size_t Chunk = Share >= SimulationCostModel::kBatchBreakEven
+                             ? std::min<size_t>(Width, Share)
+                             : 1;
+    const size_t NumChunks = (Batch.size() + Chunk - 1) / Chunk;
+    Pool.parallelFor(NumChunks, [&](size_t C) {
+      const size_t First = C * Chunk;
+      const size_t N = std::min<size_t>(Chunk, Batch.size() - First);
       std::vector<layout::DataLayout> Layouts;
       Layouts.reserve(N);
       for (size_t I = 0; I != N; ++I)

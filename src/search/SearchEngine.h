@@ -122,12 +122,15 @@ struct SearchOptions {
   /// tracing automatically.
   bool UseReplay = true;
 
-  /// Lanes per batched exact-evaluation pass: the replayer streams the
-  /// recorded trace once while scoring this many candidates in
-  /// parallel lanes. 0 = auto (the cost model's tuned default), 1 =
-  /// sequential replay; capped at exec::MultiTraceReplayer::kMaxLanes
-  /// and ignored when replay is off or declined. Results are
-  /// bit-identical at every width — like UseReplay, purely a
+  /// Most lanes per batched exact-evaluation pass: the replayer
+  /// streams the recorded trace once while scoring up to this many
+  /// candidates in parallel lanes. 0 = auto (the cost model's default,
+  /// 16), 1 = sequential replay; capped at what the host's zmm kernels
+  /// take (exec::MultiTraceReplayer::zmmLanes — sequential replay
+  /// without AVX-512) and ignored when replay is off or declined. Each
+  /// round is split over the pool's threads, and a share below
+  /// SimulationCostModel::kBatchBreakEven replays sequentially. Results
+  /// are bit-identical at every width — like UseReplay, purely a
   /// throughput knob (--batch on the tools).
   unsigned BatchK = 0;
 
@@ -200,7 +203,8 @@ struct SearchResult {
   unsigned ExactEvaluations = 0;
   unsigned Rounds = 0;
   unsigned Restarts = 0;
-  /// Effective lanes per batched exact-evaluation pass (1 = sequential).
+  /// Effective lane cap per batched exact-evaluation pass (1 =
+  /// sequential).
   unsigned BatchWidth = 1;
   /// Wall-clock seconds spent inside exact-evaluation batches; with
   /// ExactEvaluations this yields the candidates/sec the tools report.

@@ -7,22 +7,25 @@
 /// \file
 /// Batched replay equivalence over the fuzz corpus: for every kernel,
 /// cache geometry and padding candidate, the per-candidate CacheStats a
-/// MultiTraceReplayer produces at widths 2, 4, 8 and 16 — the scalar
-/// lane loop plus both AVX-512 probes (two-zmm 64-bit and, at 16, the
-/// one-zmm 32-bit arena) — including the ragged tail chunk a
-/// non-multiple candidate count leaves — must be
-/// bit-identical to a sequential TraceReplayer into a fresh CacheSim,
-/// with MaxAccesses truncation applied. Programs the recorder declines
-/// (indirect subscripts) must keep scoring through the cost model's
-/// per-item direct fallback with unchanged results, batched entry
-/// included. Batching is a throughput lever only; any stats divergence
-/// here is a correctness bug.
+/// MultiTraceReplayer produces must be bit-identical to a sequential
+/// TraceReplayer into a fresh CacheSim, with MaxAccesses truncation
+/// applied. On the direct-mapped geometry every width from 1 to 16 runs
+/// through the AVX-512 kernels — the masked 8-lane row, the one-zmm
+/// 32-bit 16-lane row, and (forced by the test-only dispatch override)
+/// the two-zmm 64-bit 16-lane row — and through the sequential
+/// fallback a host without AVX-512 takes. Associative geometries run
+/// the shared-decode per-lane probe at 2, 4, 8 and 16 lanes plus ragged
+/// tails. Programs the recorder declines (indirect subscripts) must
+/// keep scoring through the cost model's per-item direct fallback with
+/// unchanged results, batched entry included. Batching is a throughput
+/// lever only; any stats divergence here is a correctness bug.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "exec/MultiTraceReplayer.h"
 #include "exec/RecordedTrace.h"
 #include "frontend/Parser.h"
+#include "machine/MachineModel.h"
 #include "search/Candidate.h"
 #include "search/CostModel.h"
 
@@ -98,14 +101,57 @@ void expectEqualStats(const sim::CacheStats &A, const sim::CacheStats &B,
   EXPECT_EQ(A.WriteBacks, B.WriteBacks) << Context;
 }
 
+/// Whether this host runs the AVX-512 zmm kernels at all.
+bool hostHasZmm() {
+#if PADX_REPLAY_AVX512
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq");
+#else
+  return false;
+#endif
+}
+
+/// Restricts MultiTraceReplayer's engine choice for one scope.
+struct ScopedDispatch {
+  explicit ScopedDispatch(MultiTraceReplayer::Dispatch D) {
+    MultiTraceReplayer::setDispatchForTesting(D);
+  }
+  ~ScopedDispatch() {
+    MultiTraceReplayer::setDispatchForTesting(
+        MultiTraceReplayer::Dispatch::Auto);
+  }
+};
+
+/// Scores \p Layouts through one reused replayer in chunks of \p K, like
+/// a search worker, checking each chunk's status against \p RefStatus.
+std::vector<sim::CacheStats>
+replayInChunks(const RecordedTrace &T, const CacheConfig &Cfg,
+               const std::vector<layout::DataLayout> &Layouts, unsigned K,
+               const std::vector<RunStatus> &RefStatus,
+               const std::string &Context) {
+  MultiTraceReplayer Batched(T, Cfg);
+  std::vector<sim::CacheStats> Stats(Layouts.size());
+  for (size_t Begin = 0; Begin != Layouts.size();) {
+    const size_t N = std::min<size_t>(K, Layouts.size() - Begin);
+    RunStatus S = Batched.replay(
+        std::span<const layout::DataLayout>(&Layouts[Begin], N),
+        std::span<sim::CacheStats>(&Stats[Begin], N));
+    EXPECT_EQ(S, RefStatus[Begin]) << Context;
+    Begin += N;
+  }
+  return Stats;
+}
+
 } // namespace
 
 TEST(BatchReplayEquivalence, CorpusSweepIsBitIdenticalAtEveryWidth) {
+  const CacheConfig Direct = CacheConfig::base16K();
   const std::vector<CacheConfig> Geometries = {
-      CacheConfig::base16K(),        // The paper's base: direct mapped.
+      Direct,                        // The paper's base: direct mapped.
       CacheConfig{16 * 1024, 32, 2}, // 2-way: per-lane probe fallback.
       CacheConfig{4 * 1024, 32, 0},  // Fully associative fallback.
   };
+  using Dispatch = MultiTraceReplayer::Dispatch;
   RunOptions Opts;
   Opts.MaxAccesses = kMaxAccesses;
 
@@ -129,32 +175,45 @@ TEST(BatchReplayEquivalence, CorpusSweepIsBitIdenticalAtEveryWidth) {
         RefStatus.push_back(Sequential.replay(DL, Sim));
         Reference.push_back(Sim.stats());
       }
-
-      for (unsigned K : {2u, 4u, 8u, 16u}) {
-        // One replayer reused across chunks, like a search worker; the
-        // 17-candidate sweep runs at least one full-width chunk and
-        // leaves a tail of 1 at every K, so the fast path and the
-        // run-time-width path are both exercised.
-        MultiTraceReplayer Batched(*T, Cfg);
-        std::vector<sim::CacheStats> Stats(Layouts.size());
-        for (size_t Begin = 0; Begin != Layouts.size();) {
-          const size_t N =
-              std::min<size_t>(K, Layouts.size() - Begin);
-          RunStatus S = Batched.replay(
-              std::span<const layout::DataLayout>(&Layouts[Begin], N),
-              std::span<sim::CacheStats>(&Stats[Begin], N));
-          EXPECT_EQ(S, RefStatus[Begin]) << Name;
-          Begin += N;
-        }
+      auto Check = [&](unsigned K, const char *Engine) {
+        const std::string Context = Name + " " + Cfg.describe() + " " +
+                                    Engine + " K=" + std::to_string(K);
+        std::vector<sim::CacheStats> Stats =
+            replayInChunks(*T, Cfg, Layouts, K, RefStatus, Context);
         for (size_t I = 0; I != Layouts.size(); ++I)
           expectEqualStats(Stats[I], Reference[I],
-                           Name + " " + Cfg.describe() + " K=" +
-                               std::to_string(K) + " candidate " +
-                               std::to_string(I));
+                           Context + " candidate " + std::to_string(I));
+      };
+
+      if (Cfg == Direct) {
+        // Every width through the zmm kernels; the 17-candidate sweep
+        // leaves a ragged tail at every width but 1 and 17, so the
+        // masked rows see both full and partial chunks. Zmm64 takes
+        // 9-16 lanes through the two-zmm row the 32-bit gate otherwise
+        // pre-empts; NoZmm is the sequential fallback of a host without
+        // AVX-512.
+        EXPECT_EQ(MultiTraceReplayer::zmmLanes(*T, Cfg),
+                  hostHasZmm() ? 16u : 0u);
+        for (unsigned K = 1; K <= MultiTraceReplayer::kMaxLanes; ++K)
+          Check(K, "zmm");
+        {
+          ScopedDispatch Zmm64(Dispatch::Zmm64);
+          for (unsigned K = 9; K <= MultiTraceReplayer::kMaxLanes; ++K)
+            Check(K, "zmm64");
+        }
+        ScopedDispatch NoZmm(Dispatch::NoZmm);
+        EXPECT_EQ(MultiTraceReplayer::zmmLanes(*T, Cfg), 0u);
+        for (unsigned K : {1u, 3u, 16u})
+          Check(K, "sequential");
+        continue;
       }
 
-      // Odd widths straight through the run-time lane loop, single-call
-      // ragged batches included (3, 5 and a width-1 batch).
+      // Associative lanes: the shared-decode per-lane probe, full-width
+      // chunks and ragged tails (a tail of 1 at every K), then single
+      // ragged batches of 1, 3 and 5.
+      EXPECT_EQ(MultiTraceReplayer::zmmLanes(*T, Cfg), 0u);
+      for (unsigned K : {2u, 4u, 8u, 16u})
+        Check(K, "per-lane");
       for (size_t N : {size_t(1), size_t(3), size_t(5)}) {
         MultiTraceReplayer Batched(*T, Cfg);
         std::vector<sim::CacheStats> Stats(N);
@@ -235,24 +294,51 @@ loop i = 1, 64 {
 
 TEST(BatchReplayEquivalence, CostModelBatchMatchesPerItemReplay) {
   // Replay-capable program: the batched cost-model entry (chunking,
-  // thread-local batcher reuse) must equal per-item evaluate().
+  // the sequential path below the break-even, thread-local batcher
+  // reuse) must equal per-item evaluate() — on a weighted single-level
+  // machine too, where both must carry Weight_l1 * Misses, and under
+  // the dispatch of a host without AVX-512, where every chunk replays
+  // sequentially.
   ir::Program P = parseFileOrDie(
       std::filesystem::path(PADX_CORPUS_DIR) / "small_stencil.pad");
-  search::SimulationCostModel M(CacheConfig::base16K());
-  M.prepareReplay(P);
-  ASSERT_TRUE(M.usingReplay());
-  for (unsigned K : {2u, 4u, 8u, 100u}) {
-    M.setBatchWidth(K);
-    EXPECT_EQ(M.batchWidth(),
-              std::min(K, MultiTraceReplayer::kMaxLanes));
-    std::vector<layout::DataLayout> Layouts = layoutSweep(P, 32);
-    std::vector<search::CostSample> Batch(Layouts.size());
-    M.evaluateBatch(Layouts, Batch);
-    for (size_t I = 0; I != Layouts.size(); ++I) {
-      search::CostSample Single = M.evaluate(Layouts[I]);
-      EXPECT_EQ(Batch[I].Cost, Single.Cost) << "K=" << K << " " << I;
-      EXPECT_EQ(Batch[I].Accesses, Single.Accesses)
-          << "K=" << K << " " << I;
+  MachineModel Weighted = MachineModel::singleLevel(CacheConfig::base16K());
+  ASSERT_TRUE(Weighted.applyWeights("l1=2"));
+  const std::vector<layout::DataLayout> Layouts = layoutSweep(P, 32);
+  using Dispatch = MultiTraceReplayer::Dispatch;
+  for (Dispatch D : {Dispatch::Auto, Dispatch::NoZmm}) {
+    ScopedDispatch Scope(D);
+    const bool Zmm = D == Dispatch::Auto && hostHasZmm();
+    for (const MachineModel &M :
+         {MachineModel::singleLevel(CacheConfig::base16K()), Weighted}) {
+      search::SimulationCostModel Model(M);
+      Model.prepareReplay(P);
+      ASSERT_TRUE(Model.usingReplay());
+      const double Weight = M.Levels.front().Weight;
+      for (unsigned K : {1u, 2u, 3u, 4u, 8u, 16u, 100u}) {
+        Model.setBatchWidth(K);
+        EXPECT_EQ(Model.batchWidth(),
+                  Zmm ? std::min(K, MultiTraceReplayer::kMaxLanes) : 1u);
+        for (size_t N : {size_t(2), size_t(3), Layouts.size()}) {
+          std::vector<search::CostSample> Batch(N);
+          Model.evaluateBatch(
+              std::span<const layout::DataLayout>(Layouts.data(), N),
+              Batch);
+          for (size_t I = 0; I != N; ++I) {
+            search::CostSample Single = Model.evaluate(Layouts[I]);
+            const std::string Context = "K=" + std::to_string(K) +
+                                        " N=" + std::to_string(N) +
+                                        " weight " +
+                                        std::to_string(Weight) + " " +
+                                        std::to_string(I);
+            EXPECT_EQ(Batch[I].Cost, Single.Cost) << Context;
+            EXPECT_EQ(Batch[I].Cost, Weight * Batch[I].LevelMisses[0])
+                << Context;
+            EXPECT_EQ(Batch[I].LevelMisses, Single.LevelMisses)
+                << Context;
+            EXPECT_EQ(Batch[I].Accesses, Single.Accesses) << Context;
+          }
+        }
+      }
     }
   }
 }

@@ -16,8 +16,11 @@
 #include "search/SearchEngine.h"
 
 #include "core/Padding.h"
+#include "exec/MultiTraceReplayer.h"
+#include "exec/RecordedTrace.h"
 #include "frontend/Parser.h"
 #include "kernels/Kernels.h"
+#include "machine/MachineModel.h"
 #include "search/Candidate.h"
 #include "search/CandidateGenerator.h"
 #include "search/CostModel.h"
@@ -25,6 +28,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <sstream>
 
 using namespace padx;
 
@@ -218,27 +222,56 @@ TEST(SearchEngine, ReplayAndDirectEvaluationAgreeExactly) {
 
 TEST(SearchEngine, BatchWidthDoesNotChangeTheResult) {
   // --batch K is a throughput knob with the same contract as --replay
-  // and --threads: any width must visit the same candidates and return
-  // bit-identical results. Widths cover sequential, an odd width (the
-  // run-time lane loop), the templated fast path, and auto.
+  // and --threads: any width, thread count and engine must visit the
+  // same candidates and return bit-identical results, under a weighted
+  // single-level objective too (every engine must rank by
+  // Weight_l1 * Misses). Widths cover auto, sequential, a width below
+  // the break-even and the 8- and 16-lane zmm rows; 4 threads split
+  // rounds below the break-even into sequential singles. The NoZmm
+  // dispatch is the path of a host without AVX-512, where every width
+  // replays sequentially.
+  using Dispatch = exec::MultiTraceReplayer::Dispatch;
   for (const char *Name : {"expl", "dgefa"}) {
     ir::Program P = smallKernel(Name);
-    search::SearchOptions Opts;
-    Opts.EvalBudget = 16;
-    Opts.Seed = 11;
-    Opts.BatchK = 1;
-    search::SearchResult Sequential = search::runSearch(P, Opts);
-    EXPECT_EQ(Sequential.BatchWidth, 1u) << Name;
-    for (unsigned K : {0u, 3u, 8u, 16u}) {
-      Opts.BatchK = K;
-      search::SearchResult Batched = search::runSearch(P, Opts);
-      EXPECT_EQ(Batched.BatchWidth, K == 0 ? 16u : K) << Name;
-      EXPECT_EQ(Sequential.Best, Batched.Best) << Name << " K=" << K;
-      EXPECT_EQ(Sequential.BestMisses, Batched.BestMisses)
-          << Name << " K=" << K;
-      EXPECT_EQ(Sequential.ExactEvaluations, Batched.ExactEvaluations)
-          << Name << " K=" << K;
-      EXPECT_EQ(Sequential.Log, Batched.Log) << Name << " K=" << K;
+    const bool HostZmm = exec::MultiTraceReplayer::zmmLanes(
+                             *exec::RecordedTrace::record(P),
+                             CacheConfig::base16K()) != 0;
+    for (const char *Weights : {"", "l1=2"}) {
+      search::SearchOptions Opts;
+      Opts.EvalBudget = 16;
+      Opts.Seed = 11;
+      if (*Weights) {
+        Opts.Machine = MachineModel::singleLevel(Opts.Cache);
+        ASSERT_TRUE(Opts.Machine.applyWeights(Weights));
+      }
+      Opts.BatchK = 1;
+      Opts.Threads = 1;
+      search::SearchResult Sequential = search::runSearch(P, Opts);
+      EXPECT_EQ(Sequential.BatchWidth, 1u) << Name;
+      for (Dispatch D : {Dispatch::Auto, Dispatch::NoZmm}) {
+        exec::MultiTraceReplayer::setDispatchForTesting(D);
+        const bool Zmm = HostZmm && D == Dispatch::Auto;
+        for (unsigned K : {0u, 1u, 3u, 8u, 16u})
+          for (unsigned Threads : {1u, 4u}) {
+            Opts.BatchK = K;
+            Opts.Threads = Threads;
+            search::SearchResult Batched = search::runSearch(P, Opts);
+            std::ostringstream Ctx;
+            Ctx << Name << " weights '" << Weights << "' K=" << K
+                << " threads=" << Threads
+                << (D == Dispatch::NoZmm ? " no-zmm" : "");
+            EXPECT_EQ(Batched.BatchWidth, Zmm ? (K == 0 ? 16u : K) : 1u)
+                << Ctx.str();
+            EXPECT_EQ(Sequential.Best, Batched.Best) << Ctx.str();
+            EXPECT_EQ(Sequential.BestMisses, Batched.BestMisses)
+                << Ctx.str();
+            EXPECT_EQ(Sequential.ExactEvaluations,
+                      Batched.ExactEvaluations)
+                << Ctx.str();
+            EXPECT_EQ(Sequential.Log, Batched.Log) << Ctx.str();
+          }
+      }
+      exec::MultiTraceReplayer::setDispatchForTesting(Dispatch::Auto);
     }
   }
 }

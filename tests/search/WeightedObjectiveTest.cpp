@@ -19,8 +19,12 @@
 #include "experiments/Experiment.h"
 #include "kernels/Kernels.h"
 #include "layout/DataLayout.h"
+#include "search/Candidate.h"
 
 #include "gtest/gtest.h"
+
+#include <span>
+#include <vector>
 
 using namespace padx;
 
@@ -74,6 +78,38 @@ TEST(WeightedObjective, SingleLevelWeightScalesMissCount) {
       search::SimulationCostModel(Double).evaluate(DL);
   EXPECT_DOUBLE_EQ(B.Cost, 2 * A.Cost);
   EXPECT_EQ(A.LevelMisses, B.LevelMisses);
+}
+
+TEST(WeightedObjective, SingleLevelWeightSurvivesBatchedEvaluation) {
+  // The batched entry must rank by the same objective as evaluate():
+  // with l1=2 every sample costs twice its misses, whichever engine —
+  // one zmm pass or sequential replay below the break-even — scored
+  // its chunk.
+  ir::Program P = kernels::makeKernel("jacobi", 128);
+  MachineModel Double = MachineModel::singleLevel(CacheConfig::base16K());
+  ASSERT_TRUE(Double.applyWeights("l1=2"));
+  search::SimulationCostModel Model(Double);
+  Model.prepareReplay(P);
+  ASSERT_TRUE(Model.usingReplay());
+  std::vector<layout::DataLayout> Layouts;
+  for (int64_t Pad = 0; Pad != 9; ++Pad) {
+    search::Candidate C = search::zeroCandidate(P);
+    for (std::vector<int64_t> &Dims : C.DimPads)
+      if (!Dims.empty())
+        Dims[0] = Pad;
+    Layouts.push_back(search::materialize(P, C));
+  }
+  for (size_t N : {size_t(1), size_t(2), size_t(3), Layouts.size()}) {
+    std::vector<search::CostSample> Batch(N);
+    Model.evaluateBatch(
+        std::span<const layout::DataLayout>(Layouts.data(), N), Batch);
+    for (size_t I = 0; I != N; ++I) {
+      EXPECT_DOUBLE_EQ(Batch[I].Cost, 2 * Batch[I].LevelMisses[0])
+          << "N=" << N << " layout " << I;
+      EXPECT_EQ(Batch[I].Cost, Model.evaluate(Layouts[I]).Cost)
+          << "N=" << N << " layout " << I;
+    }
+  }
 }
 
 TEST(WeightedObjective, CostModelMatchesHierarchyExperiment) {
