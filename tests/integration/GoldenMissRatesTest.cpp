@@ -38,6 +38,14 @@ const Golden kGolden[] = {
     {"shal", 80.25, 13.73},   {"mult", 7.54, 7.54},
 };
 
+// gtest's fallback printer dumps the raw bytes, including the Kernel
+// pointer, and gtest_discover_tests copies that into the ctest name; an
+// explicit printer keeps the names identical from build to build.
+void PrintTo(const Golden &G, std::ostream *OS) {
+  *OS << '"' << G.Kernel << "\" orig=" << G.OrigPercent
+      << " pad=" << G.PadPercent;
+}
+
 class GoldenMissRates : public ::testing::TestWithParam<Golden> {};
 
 } // namespace
